@@ -1,0 +1,12 @@
+"""Make ``e2ebench`` and the program's ``src`` importable.
+
+Run from the root of a checkout: ``python3 -m pytest e2ebench/tests -q``.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
