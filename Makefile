@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-bcp bench-bcp-smoke report trace-report quick-bench fuzz-smoke serve-smoke session-smoke chaos-smoke store-smoke trend-check examples clean
+.PHONY: install test bench bench-bcp bench-bcp-smoke report trace-report quick-bench fuzz-smoke kernel-smoke serve-smoke session-smoke chaos-smoke store-smoke trend-check examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -44,6 +44,14 @@ fuzz-smoke:
 	$(PYTHON) -m repro fuzz --seeds $(FUZZ_SEEDS) --budget 2000 \
 		--workers 2 --shrink --corpus $(FUZZ_CORPUS) \
 		--trace $(FUZZ_CORPUS)/traces
+
+# Compiled-kernel smoke: build the arena kernels and run the same-search
+# oracle (compiled vs Python reference: statistics, models, cores, DRAT,
+# warm sessions) over KERNEL_SEEDS fuzz cases plus the regression
+# corpus.  Mirrors the CI kernel-smoke job.
+KERNEL_SEEDS ?= 200
+kernel-smoke:
+	$(PYTHON) scripts/kernel_smoke.py $(KERNEL_SEEDS)
 
 # Solve-service smoke: start `repro serve`, fire a concurrent burst,
 # assert answers match direct solves and the serve.batch_size metric

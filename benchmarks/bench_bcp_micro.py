@@ -63,6 +63,7 @@ from repro.solver.arena import (
     ArenaWatchLists,
     ClauseArena,
 )
+from repro.solver import native
 from repro.solver.assignment import Trail
 from repro.solver.clause_db import SolverClause
 from repro.solver.propagate import Propagator
@@ -445,13 +446,18 @@ def run_labeling_comparison():
         warm_hits = runner.last_stats.cache_hits
         warm_executed = runner.last_stats.executed
 
+    cpus = os.cpu_count() or 1
     return {
         "instances": LABEL_INSTANCES,
         "max_conflicts": LABEL_CONFLICTS,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": cpus,
         "serial_seconds": round(serial_seconds, 3),
         "workers4_seconds": round(parallel_seconds, 3),
-        "parallel_speedup": round(serial_seconds / parallel_seconds, 3),
+        # Four workers on one CPU time-share it: the ratio would measure
+        # process overhead, not parallelism, so it is not recorded.
+        "parallel_speedup": (
+            round(serial_seconds / parallel_seconds, 3) if cpus >= 2 else None
+        ),
         "cold_executed": cold_executed,
         "warm_cache_hits": warm_hits,
         "warm_executed": warm_executed,
@@ -470,6 +476,8 @@ def run_all():
         "passes": PASSES,
         "git": git_describe(),
         "created_unix": round(time.time(), 3),
+        # The arena engine runs the compiled kernels when they built.
+        "native_kernels": native.kernels() is not None,
         "bcp": bcp,
         "labeling": labeling,
     }
@@ -594,7 +602,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     lab = payload["labeling"]
     print(
         f"labeling {lab['instances']} instances: serial {lab['serial_seconds']}s, "
-        f"4 workers {lab['workers4_seconds']}s ({lab['parallel_speedup']}x), "
+        f"4 workers {lab['workers4_seconds']}s "
+        f"(speedup {lab['parallel_speedup'] or 'n/a on 1 CPU'}), "
         f"warm cache {lab['warm_seconds']}s"
     )
     if baseline is not None:

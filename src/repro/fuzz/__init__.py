@@ -28,6 +28,7 @@ from repro.fuzz.oracles import (
     OracleContext,
     PolicyAgreementOracle,
     PreprocessingOracle,
+    SameSearchOracle,
     default_oracles,
     default_solve_fn,
     derive_mutants,
@@ -68,6 +69,7 @@ __all__ = [
     "OracleContext",
     "PolicyAgreementOracle",
     "PreprocessingOracle",
+    "SameSearchOracle",
     "ShrinkResult",
     "build_cases",
     "default_oracles",

@@ -18,7 +18,9 @@ cross-checks:
   refutation;
 * :class:`MetamorphicOracle` — satisfiability-preserving transforms
   (variable renaming, polarity flips, clause permutation and
-  duplication) must not flip the verdict.
+  duplication) must not flip the verdict;
+* :class:`SameSearchOracle` — the compiled arena kernels must follow
+  the Python reference bodies' search exactly.
 
 All solving goes through an :class:`OracleContext`, which memoizes
 results per (formula, policy) and lets tests inject a deliberately
@@ -45,6 +47,7 @@ from repro.cnf.transforms import (
 from repro.policies.registry import get_policy
 from repro.solver.drat import DratError, check_drat
 from repro.solver.proof import ProofLog
+from repro.solver import native
 from repro.solver.reference import brute_force_status, dpll_solve
 from repro.solver.session import SolverSession
 from repro.solver.solver import Solver, SolverConfig
@@ -581,6 +584,73 @@ class MetamorphicOracle(Oracle):
         return found
 
 
+class SameSearchOracle(Oracle):
+    """The compiled kernels must reproduce the Python reference exactly.
+
+    Each subject runs twice, once with the compiled arena kernels
+    (:mod:`repro.solver.native`) and once with the Python reference
+    bodies: a proof-logged one-shot solve under each deletion policy,
+    then a warm :class:`~repro.solver.session.SolverSession` driven
+    through the :func:`derive_schedule` schedule.  Statistics, models,
+    failed-assumption cores and DRAT proof text must be identical —
+    the kernels are a faster rendering of the same search, not a
+    different solver.  Without compiled kernels both runs are the
+    reference and the check is vacuous.
+    """
+
+    name = "same-search"
+
+    #: Formulas with more variables than this skip the warm schedule.
+    schedule_max_vars = 120
+
+    #: Random steps per derived schedule (plus the fixed first/last solve).
+    schedule_steps = 6
+
+    def check(self, cnf: CNF, ctx: OracleContext) -> List[Discrepancy]:
+        """Run both renderings and report every observable that differs."""
+        compiled = self.observe(cnf, ctx.budget)
+        with native._reference_bodies():
+            reference = self.observe(cnf, ctx.budget)
+        return [
+            self._mismatch(
+                ctx, "search-diverged", f"reference {key}", f"compiled {key}",
+                "compiled kernels left the reference search",
+            )
+            for key in reference
+            if compiled.get(key) != reference[key]
+        ]
+
+    def observe(self, cnf: CNF, budget: int) -> Dict[str, Any]:
+        """Everything a search exposes, keyed by where it was observed."""
+        seen: Dict[str, Any] = {}
+        for policy in ("default", "frequency"):
+            proof = ProofLog()
+            result = Solver(cnf, policy=get_policy(policy), proof=proof).solve(
+                max_conflicts=budget
+            )
+            seen[f"{policy} solve"] = (
+                result.status, result.model, result.stats.to_dict()
+            )
+            seen[f"{policy} proof"] = proof.text()
+        if len(cnf.variables()) > self.schedule_max_vars:
+            return seen
+        proof = ProofLog()
+        session = SolverSession(cnf.copy(), proof=proof)
+        for index, (op, lits) in enumerate(
+            derive_schedule(cnf, steps=self.schedule_steps)
+        ):
+            if op == "add":
+                session.add(*lits)
+                continue
+            result = session.solve(assumptions=lits, max_conflicts=budget)
+            seen[f"schedule step {index}"] = (
+                result.status, result.model, result.core,
+                result.stats.to_dict(),
+            )
+        seen["schedule proof"] = proof.text()
+        return seen
+
+
 #: The deterministic mutation cycle shared by campaigns and the
 #: metamorphic oracle (order matters: both sides must derive the same
 #: mutants for runner pre-fill to hit).
@@ -623,6 +693,7 @@ def default_oracles(mutants: int = 2, mutation_seed: int = 0) -> List[Oracle]:
         MetamorphicOracle(mutants=mutants, seed=mutation_seed),
         PreprocessingOracle(),
         DratOracle(),
+        SameSearchOracle(),
     ]
 
 

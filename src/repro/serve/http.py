@@ -73,6 +73,9 @@ from repro.serve.service import SolveService
 #: Largest accepted request body (a DIMACS formula), in bytes.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
+#: Seconds a client gets to send one whole request, head and body.
+READ_TIMEOUT = 30.0
+
 _REASONS = {
     200: "OK",
     201: "Created",
@@ -130,24 +133,29 @@ async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str], bytes]:
     """Parse one HTTP request: (method, path, headers, body)."""
-    raw = await asyncio.wait_for(
-        reader.readuntil(b"\r\n\r\n"), timeout=30.0
-    )
+    raw = await reader.readuntil(b"\r\n\r\n")
     head_lines = raw.decode("latin-1").split("\r\n")
     parts = head_lines[0].split()
     if len(parts) != 3:
-        raise ValueError(f"malformed request line: {head_lines[0]!r}")
+        raise _BadRequest(f"malformed request line: {head_lines[0]!r}")
     method, path = parts[0].upper(), parts[1]
     headers: Dict[str, str] = {}
     for line in head_lines[1:]:
         if ":" in line:
             key, value = line.split(":", 1)
             headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadRequest(f"invalid Content-Length: {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise _BodyTooLarge(length)
     body = await reader.readexactly(length) if length else b""
     return method, path, headers, body
+
+
+class _BadRequest(Exception):
+    """A request head the front door answers with 400."""
 
 
 class _BodyTooLarge(Exception):
@@ -178,15 +186,21 @@ class HttpFrontDoor:
     ) -> None:
         try:
             try:
-                method, path, _headers, body = await _read_request(reader)
+                # One deadline covers head and body, so a client that
+                # stalls mid-body cannot hold the connection open.
+                method, path, _headers, body = await asyncio.wait_for(
+                    _read_request(reader), timeout=READ_TIMEOUT
+                )
             except _BodyTooLarge as exc:
                 await _send_json(writer, 413, {"error": str(exc)})
+                return
+            except _BadRequest as exc:
+                await _send_json(writer, 400, {"error": str(exc)})
                 return
             except (
                 asyncio.TimeoutError,
                 asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError,
-                ValueError,
             ):
                 return  # torn or abandoned connection: nothing to answer
             await self._route(method, path, body, reader, writer)

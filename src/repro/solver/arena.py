@@ -9,9 +9,10 @@ representation wholesale:
   of ints as ``[id, size, lit0 .. litN]`` blocks.  A clause is addressed
   by the *offset* of its first literal, so ``data[off-1]`` is its length
   and ``data[off-2]`` its id.  Every value fits an int32 (asserted by
-  :meth:`ClauseArena.as_int32`), which is what later numpy-vectorized or
-  compiled BCP needs; in pure CPython a plain ``list`` outperforms
-  ``array('i')`` because the latter re-boxes every element on read.
+  :meth:`ClauseArena.as_int32`); in pure CPython a plain ``list``
+  outperforms ``array('i')`` because the latter re-boxes every element on
+  read, which is also why the compiled kernels (:mod:`repro.solver.native`)
+  work on these lists in place.
 * **Clause ids** — per-clause metadata (glue, activity, used, garbage,
   frequency, learned) lives in parallel arrays indexed by a *stable*
   clause id.  Ids are append-only and survive compaction; offsets do
@@ -35,7 +36,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import BATCH_BUCKETS, MetricsRegistry
-from repro.solver.assignment import Trail
+from repro.solver import native
+from repro.solver.assignment import Trail, release
 from repro.solver.statistics import SolverStatistics
 from repro.solver.types import FALSE, TRUE, UNASSIGNED
 
@@ -333,6 +335,7 @@ class ArenaTrail(Trail):
         self.arena = arena
         # Fail loudly if anything still reads the per-variable array.
         self.values = None
+        self._native = native.kernels()
 
     # -- queries (lit_values is the single source of truth) ------------------
 
@@ -365,8 +368,14 @@ class ArenaTrail(Trail):
         self.reasons[var] = reason
         self.trail.append(lit)
 
-    def backtrack(self, level: int) -> List[int]:
-        """Undo all assignments above ``level``; returns unassigned literals."""
+    def backtrack(self, level: int, decider=None) -> List[int]:
+        """Undo all assignments above ``level``; returns unassigned literals.
+
+        With a ``decider``, each undone variable also has its phase saved
+        and is requeued for branching (see :func:`release`).
+        """
+        if self._native is not None:
+            return self._native.backtrack(self, level, decider)
         if level >= len(self.trail_lim):
             return []
         boundary = self.trail_lim[level]
@@ -379,6 +388,8 @@ class ArenaTrail(Trail):
         del self.trail_lim[level:]
         if self.qhead > boundary:
             self.qhead = boundary
+        if decider is not None:
+            release(decider, undone)
         return undone
 
     def reason_literals(self, var: int) -> List[int]:
@@ -569,6 +580,7 @@ class ArenaPropagator:
             self._batch_hist = metrics.histogram("bcp.batch_size", BATCH_BUCKETS)
         else:
             self._batch_hist = None
+        self._native = native.kernels()
 
     @property
     def lifetime_frequency(self) -> List[int]:
@@ -600,6 +612,8 @@ class ArenaPropagator:
         Returns ``None``, a conflicting clause id, or an
         ``(other, false_lit)`` pair for a conflicting binary clause.
         """
+        if self._native is not None:
+            return self._native.propagate(self)
         trail = self.trail
         lit_values = trail.lit_values
         levels = trail.levels
@@ -867,6 +881,7 @@ class ArenaConflictAnalyzer:
         self.stats = stats
         self.bump_variable = bump_variable
         self._seen: List[bool] = [False] * (trail.num_vars + 1)
+        self._native = native.kernels()
 
     def analyze(self, conflict: Conflict) -> Tuple[List[int], int, int]:
         """Analyze a conflict at decision level > 0.
@@ -874,6 +889,8 @@ class ArenaConflictAnalyzer:
         Returns ``(learned_lits, backjump_level, glue)`` where
         ``learned_lits[0]`` is the asserting (1-UIP) literal.
         """
+        if self._native is not None:
+            return self._native.analyze(self, conflict)
         trail = self.trail
         arena = self.arena
         data = arena.data

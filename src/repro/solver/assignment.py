@@ -14,6 +14,16 @@ from repro.solver.clause_db import SolverClause
 from repro.solver.types import FALSE, TRUE, UNASSIGNED, lit_sign_value, variable_of
 
 
+def release(decider, undone: List[int]) -> None:
+    """Phase saving and decision-queue maintenance for undone literals."""
+    saved = decider.saved_phase
+    requeue = decider.requeue
+    for lit in undone:
+        var = lit >> 1
+        saved[var] = (lit & 1) == 0
+        requeue(var)
+
+
 class Trail:
     """Assignment state for ``num_vars`` variables (1-based)."""
 
@@ -70,8 +80,12 @@ class Trail:
         self.reasons[var] = reason
         self.trail.append(lit)
 
-    def backtrack(self, level: int) -> List[int]:
-        """Undo all assignments above ``level``; returns unassigned literals."""
+    def backtrack(self, level: int, decider=None) -> List[int]:
+        """Undo all assignments above ``level``; returns unassigned literals.
+
+        With a ``decider``, each undone variable also has its phase saved
+        and is requeued for branching (see :func:`release`).
+        """
         if level >= self.decision_level:
             return []
         boundary = self.trail_lim[level]
@@ -88,6 +102,8 @@ class Trail:
         del self.trail[boundary:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
+        if decider is not None:
+            release(decider, undone)
         return undone
 
     def model(self) -> List[Optional[bool]]:

@@ -87,7 +87,8 @@ class ReduceScheduler:
         self.stats.reductions += 1
 
         frequency = self.propagator.frequency
-        # O(1): the propagator tracks the running max with every bump.
+        # O(1) here: the object core's propagator keeps a running max.
+        # The arena override below pays one O(n) scan per round instead.
         max_frequency = self.propagator.max_frequency()
         self.policy.begin_round(frequency, max_frequency)
 

@@ -344,13 +344,7 @@ class Solver:
 
     def _backtrack(self, level: int) -> None:
         """Backtrack with phase saving and decision-queue maintenance."""
-        undone = self.trail.backtrack(level)
-        saved = self.decider.saved_phase
-        requeue = self.decider.requeue
-        for lit in undone:
-            var = lit >> 1
-            saved[var] = (lit & 1) == 0
-            requeue(var)
+        self.trail.backtrack(level, self.decider)
 
     # -- main loop ----------------------------------------------------------
 

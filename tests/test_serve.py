@@ -494,6 +494,57 @@ def test_http_error_paths():
     assert health.json["rejected"] == 1
 
 
+async def _raw_exchange(client, payload: bytes, timeout: float = 5.0) -> bytes:
+    """Send raw bytes on a fresh connection; everything until the close."""
+    reader, writer = await asyncio.open_connection(client.host, client.port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=timeout)
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GARBAGE\r\n\r\n",
+        b"POST /solve HTTP/1.1 extra\r\n\r\n",
+        b"POST /solve HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /solve HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    ],
+    ids=["no-spaces", "four-parts", "non-numeric-length", "negative-length"],
+)
+def test_http_malformed_head_answers_400(head):
+    async def scenario():
+        service, server, client = await _http_service()
+        try:
+            return await _raw_exchange(client, head)
+        finally:
+            await _http_teardown(service, server)
+
+    reply = asyncio.run(scenario())
+    assert reply.startswith(b"HTTP/1.1 400 "), reply
+    assert b'"error"' in reply
+
+
+def test_http_stalled_body_times_out(monkeypatch):
+    import repro.serve.http as http_mod
+
+    monkeypatch.setattr(http_mod, "READ_TIMEOUT", 0.2)
+
+    async def scenario():
+        service, server, client = await _http_service()
+        try:
+            # Declares 100 body bytes, sends 3, then goes quiet.
+            head = b"POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\nabc"
+            return await _raw_exchange(client, head, timeout=3.0)
+        finally:
+            await _http_teardown(service, server)
+
+    assert asyncio.run(scenario()) == b""  # closed by the server, no hang
+
+
 def test_http_timeout_maps_to_504():
     # A hard formula under a microscopic wall budget: the supervisor
     # kills the attempt and the taxonomy surfaces as a 504 response.
